@@ -1,19 +1,24 @@
-//! A minimal metrics exposition endpoint over `std::net` — no HTTP
-//! library, no async runtime.
+//! A minimal HTTP/1.1 server over `std::net` — no HTTP library, no async
+//! runtime — and the metrics exposition endpoint built on it.
 //!
-//! [`MetricsServer`] binds a `TcpListener` and serves two read-only
-//! routes from a shared [`MetricRegistry`]:
+//! [`HttpServer`] owns the accept loop, the request reader and the
+//! response writer; an embedder supplies only a route function from
+//! [`Request`] to [`Response`]. Requests are handled sequentially on one
+//! thread: a scrape or a control call is a small formatted write, and
+//! the traffic is a poll every few seconds — concurrency would buy
+//! nothing. A request's head and `Content-Length` body together are
+//! capped at [`MAX_REQUEST_BYTES`]; an unreadable or oversized request is
+//! answered `400`. Shutdown sets a stop flag and self-connects to unblock
+//! `accept`, so no platform `select`/nonblocking machinery is needed.
+//!
+//! [`MetricsServer`] serves two read-only routes from a shared
+//! [`MetricRegistry`]:
 //!
 //! * `GET /metrics` — Prometheus text exposition format (0.0.4), exactly
 //!   [`RegistrySnapshot::to_prometheus_text`]'s rendering;
 //! * `GET /metrics.json` — the same snapshot as JSON.
 //!
-//! Anything else is a 404 (or a 405 for non-GET methods). Requests are
-//! handled sequentially on one thread: a scrape is a registry snapshot
-//! plus a small formatted write, and monitoring traffic is one poll
-//! every few seconds — concurrency would buy nothing. Shutdown sets a
-//! stop flag and self-connects to unblock `accept`, so no platform
-//! `select`/nonblocking machinery is needed.
+//! Anything else is a 404 (or a 405 for non-GET methods).
 //!
 //! [`RegistrySnapshot::to_prometheus_text`]: swag_metrics::registry::RegistrySnapshot::to_prometheus_text
 
@@ -24,29 +29,94 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use swag_metrics::registry::MetricRegistry;
-use swag_metrics::ToJson;
+use swag_metrics::{Json, ToJson};
 
-/// A running exposition endpoint. Stops serving (and joins its thread)
-/// on [`shutdown`](Self::shutdown) or drop.
+/// Largest accepted request, head and body together.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// One parsed request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Request {
+    /// The method, e.g. `GET`.
+    pub method: String,
+    /// The request target, query string included.
+    pub path: String,
+    /// The `Content-Length` body (lossily UTF-8 decoded).
+    pub body: String,
+}
+
+/// One response; always sent with `Connection: close`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    /// Status line after the version, e.g. `200 OK`.
+    pub status: &'static str,
+    /// The `Content-Type` header value.
+    pub content_type: &'static str,
+    /// The body.
+    pub body: String,
+}
+
+impl Response {
+    /// A UTF-8 plain-text response.
+    pub fn text(status: &'static str, body: impl Into<String>) -> Response {
+        Response {
+            status,
+            content_type: "text/plain; charset=utf-8",
+            body: body.into(),
+        }
+    }
+
+    /// A pretty-printed JSON response with a trailing newline.
+    pub fn json(status: &'static str, json: &Json) -> Response {
+        let mut body = json.pretty();
+        body.push('\n');
+        Response {
+            status,
+            content_type: "application/json; charset=utf-8",
+            body,
+        }
+    }
+}
+
+/// The `GET /metrics` and `GET /metrics.json` routes over `registry`, or
+/// `None` for any other path.
+pub fn metrics_route(registry: &MetricRegistry, path: &str) -> Option<Response> {
+    match path {
+        "/metrics" => Some(Response {
+            status: "200 OK",
+            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            body: registry.snapshot().to_prometheus_text(),
+        }),
+        "/metrics.json" => Some(Response::json("200 OK", &registry.snapshot().to_json())),
+        _ => None,
+    }
+}
+
+/// A running HTTP endpoint. Stops serving (and joins its thread) on
+/// [`shutdown`](Self::shutdown) or drop.
 #[derive(Debug)]
-pub struct MetricsServer {
+pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl MetricsServer {
-    /// Bind `addr` (e.g. `127.0.0.1:9184`, or port 0 for an ephemeral
-    /// port) and serve `registry` until shutdown.
-    pub fn start<A: ToSocketAddrs>(addr: A, registry: Arc<MetricRegistry>) -> io::Result<Self> {
+impl HttpServer {
+    /// Bind `addr` (port 0 picks a free port) and answer every request
+    /// with `route` on a thread named `name`, until shutdown.
+    pub fn start<A, R>(addr: A, name: &str, route: R) -> io::Result<Self>
+    where
+        A: ToSocketAddrs,
+        R: Fn(&Request) -> Response + Send + 'static,
+    {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = stop.clone();
         let handle = std::thread::Builder::new()
-            .name("swag-metrics-http".into())
-            .spawn(move || serve(listener, registry, &thread_stop))?;
-        Ok(MetricsServer {
+            .name(name.into())
+            .spawn(move || serve(listener, &route, &thread_stop))?;
+        Ok(HttpServer {
             addr,
             stop,
             handle: Some(handle),
@@ -75,77 +145,126 @@ impl MetricsServer {
     }
 }
 
-impl Drop for MetricsServer {
+impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop_and_join();
     }
 }
 
-fn serve(listener: TcpListener, registry: Arc<MetricRegistry>, stop: &AtomicBool) {
+fn serve(listener: TcpListener, route: &dyn Fn(&Request) -> Response, stop: &AtomicBool) {
     for stream in listener.incoming() {
         if stop.load(Ordering::Acquire) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(mut stream) = stream else { continue };
         // A stalled client must not wedge the endpoint.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        let _ = handle_request(stream, &registry);
+        let response = match read_request(&mut stream) {
+            Ok(req) => route(&req),
+            Err(e) => Response::json(
+                "400 Bad Request",
+                &Json::obj(vec![(
+                    "error",
+                    Json::Str(format!("unreadable request: {e}")),
+                )]),
+            ),
+        };
+        let wire = format!(
+            "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+            response.status,
+            response.content_type,
+            response.body.len(),
+            response.body
+        );
+        let _ = stream
+            .write_all(wire.as_bytes())
+            .and_then(|()| stream.flush());
     }
 }
 
-fn handle_request(mut stream: TcpStream, registry: &MetricRegistry) -> io::Result<()> {
-    // Read until the end of the request head (CRLFCRLF) or the buffer
-    // fills; GET requests have no body worth reading.
-    let mut buf = [0u8; 2048];
-    let mut len = 0;
-    while len < buf.len() {
-        let n = stream.read(&mut buf[len..])?;
+/// Read the head plus `Content-Length` body bytes, within
+/// [`MAX_REQUEST_BYTES`].
+fn read_request(stream: &mut impl Read) -> io::Result<Request> {
+    let invalid = |msg| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let truncated = |msg| io::Error::new(io::ErrorKind::UnexpectedEof, msg);
+    let mut buf = Vec::with_capacity(2048);
+    let mut chunk = [0u8; 2048];
+    let head_end = loop {
+        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos + 4;
+        }
+        if buf.len() >= MAX_REQUEST_BYTES {
+            return Err(invalid("request too large"));
+        }
+        let n = stream.read(&mut chunk)?;
         if n == 0 {
-            break;
+            return Err(truncated("truncated request"));
         }
-        len += n;
-        if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
-            break;
-        }
-    }
-    let head = String::from_utf8_lossy(&buf[..len]);
-    let mut parts = head.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-
-    let (status, content_type, body) = if method != "GET" {
-        (
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "method not allowed\n".to_string(),
-        )
-    } else {
-        match path {
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                registry.snapshot().to_prometheus_text(),
-            ),
-            "/metrics.json" => ("200 OK", "application/json; charset=utf-8", {
-                let mut json = registry.snapshot().to_json().pretty();
-                json.push('\n');
-                json
-            }),
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found (try /metrics or /metrics.json)\n".to_string(),
-            ),
-        }
+        buf.extend_from_slice(&chunk[..n]);
     };
+    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
+    let mut lines = head.lines();
+    let mut request_line = lines.next().unwrap_or("").split_whitespace();
+    let method = request_line.next().unwrap_or("").to_string();
+    let path = request_line.next().unwrap_or("").to_string();
+    let content_length = lines
+        .filter_map(|l| l.split_once(':'))
+        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
+        .unwrap_or(0);
+    if content_length.saturating_add(head_end) > MAX_REQUEST_BYTES {
+        return Err(invalid("body too large"));
+    }
+    let mut body = buf.split_off(head_end);
+    while body.len() < content_length {
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(truncated("truncated body"));
+        }
+        body.extend_from_slice(&chunk[..n]);
+    }
+    body.truncate(content_length);
+    Ok(Request {
+        method,
+        path,
+        body: String::from_utf8_lossy(&body).into_owned(),
+    })
+}
 
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+/// The metrics exposition endpoint: an [`HttpServer`] serving a shared
+/// [`MetricRegistry`].
+#[derive(Debug)]
+pub struct MetricsServer(HttpServer);
+
+impl MetricsServer {
+    /// Bind `addr` (e.g. `127.0.0.1:9184`, or port 0 for an ephemeral
+    /// port) and serve `registry` until shutdown.
+    pub fn start<A: ToSocketAddrs>(addr: A, registry: Arc<MetricRegistry>) -> io::Result<Self> {
+        let route = move |req: &Request| {
+            if req.method != "GET" {
+                return Response::text("405 Method Not Allowed", "method not allowed\n");
+            }
+            metrics_route(&registry, &req.path).unwrap_or_else(|| {
+                Response::text(
+                    "404 Not Found",
+                    "not found (try /metrics or /metrics.json)\n",
+                )
+            })
+        };
+        HttpServer::start(addr, "swag-metrics-http", route).map(MetricsServer)
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.0.local_addr()
+    }
+
+    /// Stop accepting, finish the in-flight request if any, and join the
+    /// server thread.
+    pub fn shutdown(self) {
+        self.0.shutdown();
+    }
 }
 
 #[cfg(test)]

@@ -48,8 +48,8 @@ pub mod shard;
 pub mod stats;
 
 pub use event::{EventBatch, EventProcessor, KeyedEventWindows};
-pub use http::MetricsServer;
+pub use http::{HttpServer, MetricsServer};
 pub use keyed::{KeyedPlans, KeyedWindows, ShardProcessor};
 pub use obs::{EngineSample, ObservabilityConfig};
-pub use shard::{shard_of, EngineConfig, EngineRun, ShardedEngine};
+pub use shard::{shard_of, Batch, EngineConfig, EngineRun, ShardedEngine};
 pub use stats::{EngineStats, ShardStats};

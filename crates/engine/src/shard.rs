@@ -25,7 +25,7 @@ use swag_data::keyed::{Key, KeyedSource};
 use swag_data::prng::mix64;
 use swag_metrics::clock::Stopwatch;
 use swag_metrics::QueueDepthGauge;
-use swag_trace::EventKind;
+use swag_trace::{EventKind, FlightRecorder};
 
 use crate::keyed::ShardProcessor;
 use crate::obs::{sampler_loop, EngineSample, ObservabilityConfig, ShardObs, StopGuard};
@@ -192,15 +192,39 @@ impl ShardedEngine {
         P: ShardProcessor,
         F: Fn(usize) -> P + Send + Sync,
     {
-        let shards = self.config.shards;
-        let retain = self.config.retain_answers;
+        self.route(source, limit, None, false, make_processor)
+    }
+
+    /// The one router and worker loop behind every run kind. The calling
+    /// thread routes `source`'s tuples into per-shard batches and blocks
+    /// on full queues; each spawned worker runs [`shard_worker`]. An
+    /// event run also keeps a watermark here, drops tuples below it
+    /// (`lateness` as in [`run_events`](Self::run_events)), and with
+    /// `finish` has its workers close every open window at drain. A count
+    /// run's watermark stays 0, and it registers no router instruments.
+    pub(crate) fn route<T, P, S, F>(
+        &self,
+        source: &mut S,
+        limit: u64,
+        lateness: Option<u64>,
+        finish: bool,
+        make_processor: F,
+    ) -> (EngineRun<T::Answer>, Vec<P>)
+    where
+        T: Routed<P>,
+        P: Send,
+        S: Pull<Tuple = T> + ?Sized,
+        F: Fn(usize) -> P + Send + Sync,
+    {
+        let config = &self.config;
+        let shards = config.shards;
         let clock = Stopwatch::start();
 
-        let mut senders: Vec<SyncSender<Vec<(Key, f64)>>> = Vec::with_capacity(shards);
-        let mut inboxes: Vec<Receiver<Vec<(Key, f64)>>> = Vec::with_capacity(shards);
+        let mut senders: Vec<SyncSender<Batch<T>>> = Vec::with_capacity(shards);
+        let mut inboxes: Vec<Receiver<Batch<T>>> = Vec::with_capacity(shards);
         let mut gauges: Vec<QueueDepthGauge> = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = sync_channel(self.config.queue_capacity);
+            let (tx, rx) = sync_channel(config.queue_capacity);
             senders.push(tx);
             inboxes.push(rx);
             gauges.push(QueueDepthGauge::new());
@@ -208,29 +232,38 @@ impl ShardedEngine {
         // Instrument bundles are built here (registry registration is
         // locked) and moved onto the workers; `None` when obs is off.
         let mut shard_obs: Vec<Option<ShardObs>> = (0..shards)
-            .map(|shard| self.config.obs.shard_obs(shard, &gauges[shard]))
+            .map(|shard| config.obs.shard_obs(shard, &gauges[shard], T::EVENT_TIME))
             .collect();
+        // An event router's own instruments: the late-drop counter
+        // (labelled shard="router" — drops happen before partitioning)
+        // and a flight recorder narrating drops and watermark advances.
+        let late_counter = config
+            .obs
+            .registry
+            .as_ref()
+            .filter(|_| T::EVENT_TIME)
+            .map(|reg| {
+                reg.counter(
+                    "swag_engine_late_tuples_total",
+                    "Tuples dropped at the router for arriving below the watermark",
+                    &config.obs.series_labels("router"),
+                )
+            });
+        let router_rec = (T::EVENT_TIME && config.obs.trace_capacity > 0)
+            .then(|| FlightRecorder::new(config.obs.trace_capacity));
 
         let samples: Mutex<Vec<EngineSample>> = Mutex::new(Vec::new());
         let make_processor = &make_processor;
-        let (shard_stats, answers, processors) = std::thread::scope(|scope| {
+        let (shard_stats, answers, processors, late) = std::thread::scope(|scope| {
             let handles: Vec<_> = inboxes
                 .into_iter()
                 .enumerate()
                 .map(|(shard, inbox)| {
                     let gauge = gauges[shard].clone();
-                    let check = self.config.check_invariants;
                     let obs = shard_obs[shard].take();
                     scope.spawn(move || {
-                        shard_worker(
-                            shard,
-                            inbox,
-                            gauge,
-                            make_processor(shard),
-                            retain,
-                            check,
-                            obs,
-                        )
+                        let processor = make_processor(shard);
+                        shard_worker::<T, P>(shard, inbox, gauge, processor, config, finish, obs)
                     })
                 })
                 .collect();
@@ -240,10 +273,9 @@ impl ShardedEngine {
             // the scope's implicit join can never deadlock on it.
             let sampler_stop = Arc::new(AtomicBool::new(false));
             let _sampler_guard = StopGuard(sampler_stop.clone());
-            if let (Some(interval), Some(registry)) = (
-                self.config.obs.sample_interval,
-                self.config.obs.registry.as_ref(),
-            ) {
+            if let (Some(interval), Some(registry)) =
+                (config.obs.sample_interval, config.obs.registry.as_ref())
+            {
                 let stop = sampler_stop.clone();
                 let registry = registry.clone();
                 let samples = &samples;
@@ -251,41 +283,92 @@ impl ShardedEngine {
             }
 
             // The router: batch tuples per shard, block on full queues.
-            let mut batches: Vec<Vec<(Key, f64)>> = (0..shards)
-                .map(|_| Vec::with_capacity(self.config.batch))
+            // An event watermark is derived from the stream routed *so
+            // far* and only ever rises; a tuple is judged against it
+            // before contributing to it, so a tuple can never be late
+            // relative to itself.
+            let send = |shard: usize, batch: Batch<T>| {
+                gauges[shard].enqueued_n(batch.tuples.len() as u64);
+                senders[shard]
+                    .send(batch)
+                    // check:allow a dead worker already poisoned the run; surface it here
+                    .expect("shard worker exited before drain");
+            };
+            let frontier = |source: &S, max_ts: Option<u64>| match lateness {
+                Some(l) => max_ts.map_or(0, |m| m.saturating_sub(l)),
+                None => source.low_watermark(),
+            };
+            let mut batches: Vec<Vec<T>> = (0..shards)
+                .map(|_| Vec::with_capacity(config.batch))
                 .collect();
-            let mut routed = 0u64;
+            let (mut routed, mut late, mut watermark) = (0u64, 0u64, 0u64);
+            let mut max_ts: Option<u64> = None;
             while routed < limit {
-                let Some((key, value)) = source.next_tuple() else {
+                let Some(tuple) = source.pull() else {
                     break;
                 };
-                let shard = shard_of(key, shards);
-                batches[shard].push((key, value));
+                if T::EVENT_TIME {
+                    watermark = watermark.max(frontier(source, max_ts));
+                    let ts = tuple.ts();
+                    if ts < watermark {
+                        late += 1;
+                        if let Some(c) = &late_counter {
+                            c.inc();
+                        }
+                        if let Some(rec) = &router_rec {
+                            rec.record(EventKind::LateDrop, ts, watermark);
+                        }
+                        continue;
+                    }
+                    max_ts = Some(max_ts.map_or(ts, |m| m.max(ts)));
+                }
+                let shard = shard_of(tuple.key(), shards);
+                batches[shard].push(tuple);
                 routed += 1;
-                if batches[shard].len() == self.config.batch {
-                    let batch = std::mem::replace(
-                        &mut batches[shard],
-                        Vec::with_capacity(self.config.batch),
-                    );
-                    gauges[shard].enqueued_n(batch.len() as u64);
-                    senders[shard]
-                        .send(batch)
-                        // check:allow a dead worker already poisoned the run; surface it here
-                        .expect("shard worker exited before drain");
+                if batches[shard].len() == config.batch {
+                    let tuples =
+                        std::mem::replace(&mut batches[shard], Vec::with_capacity(config.batch));
+                    if let Some(rec) = &router_rec {
+                        rec.record(EventKind::WatermarkAdvance, watermark, tuples.len() as u64);
+                    }
+                    send(shard, Batch { watermark, tuples });
                 }
             }
-            for (shard, batch) in batches.into_iter().enumerate() {
-                if !batch.is_empty() {
-                    gauges[shard].enqueued_n(batch.len() as u64);
-                    senders[shard]
-                        .send(batch)
-                        // check:allow a dead worker already poisoned the run; surface it here
-                        .expect("shard worker exited before drain");
+            if T::EVENT_TIME {
+                // The stream is drained: take the frontier's final reading
+                // so the closing broadcast carries everything the source
+                // promised.
+                watermark = watermark.max(frontier(source, max_ts));
+            }
+            for (shard, tuples) in batches.into_iter().enumerate() {
+                if !tuples.is_empty() {
+                    send(shard, Batch { watermark, tuples });
+                }
+            }
+            if T::EVENT_TIME {
+                // Broadcast the final watermark to every shard — including
+                // shards no key hashed to — so each one's reported
+                // watermark reflects the frontier it durably covers, not
+                // merely the tuples it happened to receive.
+                for shard in 0..shards {
+                    let tuples = Vec::new();
+                    send(shard, Batch { watermark, tuples });
                 }
             }
             // Dropping the senders signals end-of-stream; workers drain
             // their queues and return.
             drop(senders);
+            if let (Some(rec), Some(dir)) = (&router_rec, &config.obs.trace_out) {
+                // The router is not a shard; its ring gets its own file.
+                if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| {
+                    std::fs::write(
+                        dir.join("flightrec-router.json"),
+                        rec.dump_json(usize::MAX).pretty(),
+                    )
+                }) {
+                    eprintln!("swag-engine: router flight-recorder dump failed: {e}");
+                }
+            }
 
             let mut shard_stats = Vec::with_capacity(shards);
             let mut answers = Vec::with_capacity(shards);
@@ -298,12 +381,14 @@ impl ShardedEngine {
                 answers.push(shard_answers);
                 processors.push(processor);
             }
-            (shard_stats, answers, processors)
+            (shard_stats, answers, processors, late)
         });
 
+        let mut stats = EngineStats::merge(shard_stats, clock.elapsed());
+        stats.late_tuples = late;
         (
             EngineRun {
-                stats: EngineStats::merge(shard_stats, clock.elapsed()),
+                stats,
                 answers,
                 samples: samples.into_inner().unwrap_or_else(|e| e.into_inner()),
             },
@@ -312,50 +397,158 @@ impl ShardedEngine {
     }
 }
 
+/// One routed message: a shard's tuples plus the router's watermark at
+/// flush time (always 0 on a count run).
+#[derive(Debug)]
+pub struct Batch<T> {
+    /// No tuple in this batch — or any later batch to this shard — has a
+    /// timestamp below this.
+    pub watermark: u64,
+    /// The tuples, in routing order.
+    pub tuples: Vec<T>,
+}
+
+/// Where a router pulls its tuples from.
+pub(crate) trait Pull {
+    /// The routed tuple.
+    type Tuple;
+    /// The next tuple, or `None` once the source is drained.
+    fn pull(&mut self) -> Option<Self::Tuple>;
+    /// The source's promise about future timestamps (event sources only).
+    fn low_watermark(&self) -> u64 {
+        0
+    }
+}
+
+impl<S: KeyedSource + ?Sized> Pull for S {
+    type Tuple = (Key, f64);
+
+    fn pull(&mut self) -> Option<(Key, f64)> {
+        self.next_tuple()
+    }
+}
+
+/// A routed tuple, and how a shard applies a run of them to processor
+/// `P`: `(key, value)` through a [`ShardProcessor`], or `(key, event
+/// timestamp, value)` through an [`EventProcessor`], whose watermark
+/// closes windows. Count tuples carry no timestamp, so a count run is an
+/// event run whose watermark never rises.
+///
+/// [`EventProcessor`]: crate::EventProcessor
+pub(crate) trait Routed<P>: Send {
+    /// Whether the tuple carries an event timestamp.
+    const EVENT_TIME: bool;
+    /// The tuple without its key, as the processor takes it.
+    type Item: Copy;
+    /// The answer the processor delivers per key.
+    type Answer: Send;
+
+    /// The key the tuple is routed by.
+    fn key(&self) -> Key;
+    /// The tuple without its key.
+    fn item(&self) -> Self::Item;
+    /// The event timestamp; never read on a count run.
+    fn ts(&self) -> u64 {
+        0
+    }
+    /// Apply one key's run of items, in routing order.
+    fn apply(p: &mut P, key: Key, items: &[Self::Item], out: &mut Vec<(Key, Self::Answer)>);
+    /// Raise the watermark for every key.
+    fn advance(_p: &mut P, _watermark: u64, _out: &mut Vec<(Key, Self::Answer)>) {}
+    /// End of stream: emit every window still holding data.
+    fn finish(_p: &mut P, _out: &mut Vec<(Key, Self::Answer)>) {}
+    /// Largest accepted event timestamp, for watermark-lag reporting.
+    fn max_ts(_p: &P) -> Option<u64> {
+        None
+    }
+    /// Distinct keys held.
+    fn keys(p: &P) -> usize;
+    /// Validate every key's window state.
+    fn check_invariants(p: &mut P) -> Result<(), String>;
+}
+
+impl<P: ShardProcessor> Routed<P> for (Key, f64) {
+    const EVENT_TIME: bool = false;
+    type Item = f64;
+    type Answer = P::Answer;
+
+    fn key(&self) -> Key {
+        self.0
+    }
+
+    fn item(&self) -> f64 {
+        self.1
+    }
+
+    fn apply(p: &mut P, key: Key, values: &[f64], out: &mut Vec<(Key, P::Answer)>) {
+        p.process_run(key, values, out);
+    }
+
+    fn keys(p: &P) -> usize {
+        p.keys()
+    }
+
+    fn check_invariants(p: &mut P) -> Result<(), String> {
+        p.check_invariants()
+    }
+}
+
 /// One worker's loop: drain batches until the channel closes.
 ///
 /// Each received batch is grouped into per-key runs with a stable sort
-/// (tuples of one key keep their stream order while becoming contiguous),
-/// so a key pays one [`ShardProcessor::process_run`] call — one state
+/// (tuples of one key keep their routing order while becoming
+/// contiguous), so a key pays one [`Routed::apply`] call — one state
 /// look-up plus the aggregator's bulk path — per batch instead of one
-/// `process` call per tuple. Per-key answer sequences are unchanged;
-/// only the interleaving of different keys inside a batch may differ.
+/// call per tuple. Per-key answer sequences are unchanged; only the
+/// interleaving of different keys inside a batch may differ. A batch
+/// whose watermark is above the shard's then closes windows across every
+/// key, including keys untouched by the batch; count runs never raise
+/// it. With `finish`, the remaining windows are closed after the channel
+/// does.
 ///
 /// With an instrument bundle, the worker additionally maintains its
 /// registry series, times each slide into the latency histogram, and
 /// narrates its life into the flight recorder — batch received, per-key
-/// slide (plus a bulk-path marker for multi-tuple runs), the post-drain
-/// invariant check, and the final drain event. A panic anywhere in the
-/// loop dumps the ring via `swag-trace`'s hook (the registration guard
-/// lives for the whole function).
-fn shard_worker<P: ShardProcessor>(
+/// slide (plus a bulk-path marker for multi-tuple count runs, or the
+/// watermark advances of an event run), the post-drain invariant check,
+/// and the final drain event. A panic anywhere in the loop dumps the
+/// ring via `swag-trace`'s hook (the registration guard lives for the
+/// whole function).
+fn shard_worker<T: Routed<P>, P>(
     shard: usize,
-    inbox: Receiver<Vec<(Key, f64)>>,
+    inbox: Receiver<Batch<T>>,
     gauge: QueueDepthGauge,
     mut processor: P,
-    retain: bool,
-    check_invariants: bool,
+    config: &EngineConfig,
+    finish: bool,
     obs: Option<ShardObs>,
-) -> (ShardStats, Vec<(Key, P::Answer)>, P) {
+) -> (ShardStats, Vec<(Key, T::Answer)>, P) {
     let started = Stopwatch::start();
     let _trace_guard = obs.as_ref().and_then(ShardObs::install_trace);
     let mut tuples = 0u64;
     let mut answers = 0u64;
     let mut batches = 0u64;
+    let mut watermark = 0u64;
     let mut retained = Vec::new();
-    // Reused across recv iterations: per-run values and per-batch answers.
-    let mut values: Vec<f64> = Vec::new();
+    // Reused across recv iterations: per-run items and per-batch answers.
+    let mut items: Vec<T::Item> = Vec::new();
     let mut scratch = Vec::new();
     // Phase occupancy: one clock read before and after each recv() splits
     // the worker's wall time into blocked-on-channel vs. processing.
     let mut phase = obs.as_ref().map(|_| Stopwatch::start());
     loop {
-        let batch = inbox.recv();
+        let received = inbox.recv();
         if let (Some(o), Some(p)) = (&obs, &mut phase) {
             o.blocked_ns.add(p.elapsed_ns());
             *p = Stopwatch::start();
         }
-        let Ok(mut batch) = batch else { break };
+        let Ok(Batch {
+            watermark: wm,
+            tuples: mut batch,
+        }) = received
+        else {
+            break;
+        };
         gauge.dequeued_n(batch.len() as u64);
         batches += 1;
         if let Some(o) = &obs {
@@ -365,16 +558,16 @@ fn shard_worker<P: ShardProcessor>(
                 rec.record(EventKind::BatchReceived, batch.len() as u64, gauge.depth());
             }
         }
-        batch.sort_by_key(|&(key, _)| key);
+        batch.sort_by_key(T::key);
         let mut i = 0;
         while i < batch.len() {
-            let key = batch[i].0;
+            let key = batch[i].key();
             let mut j = i + 1;
-            while j < batch.len() && batch[j].0 == key {
+            while j < batch.len() && batch[j].key() == key {
                 j += 1;
             }
-            values.clear();
-            values.extend(batch[i..j].iter().map(|&(_, v)| v));
+            items.clear();
+            items.extend(batch[i..j].iter().map(T::item));
             let run_len = (j - i) as u64;
             // Two clock reads per slide, only when someone is scraping
             // the histogram.
@@ -382,14 +575,14 @@ fn shard_worker<P: ShardProcessor>(
                 .as_ref()
                 .and_then(|o| o.slide_latency.as_ref())
                 .map(|_| Stopwatch::start());
-            processor.process_run(key, &values, &mut scratch);
+            T::apply(&mut processor, key, &items, &mut scratch);
             if let Some(o) = &obs {
                 if let (Some(hist), Some(timer)) = (&o.slide_latency, timer) {
                     hist.record(timer.elapsed_ns());
                 }
                 if let Some(rec) = &o.recorder {
                     rec.record(EventKind::Slide, key, run_len);
-                    if run_len > 1 {
+                    if !T::EVENT_TIME && run_len > 1 {
                         // The run took the aggregator's bulk
                         // insert/evict fast path.
                         rec.record(EventKind::BulkEvict, key, run_len);
@@ -399,13 +592,26 @@ fn shard_worker<P: ShardProcessor>(
             tuples += run_len;
             i = j;
         }
+        if wm > watermark {
+            watermark = wm;
+            T::advance(&mut processor, wm, &mut scratch);
+            if let Some(rec) = obs.as_ref().and_then(|o| o.recorder.as_ref()) {
+                rec.record(EventKind::WatermarkAdvance, wm, scratch.len() as u64);
+            }
+        }
+        if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
+            // Refreshed every batch — not only on watermark advance — so
+            // the gauge (and the sampler series built from it) tracks lag
+            // even while the watermark is stalled behind late data.
+            lag.set(T::max_ts(&processor).map_or(0, |m| m.saturating_sub(watermark)));
+        }
         // Count answers as produced, before the retain decision — the
         // tally is the same whether or not answers are kept.
         answers += scratch.len() as u64;
         if let Some(o) = &obs {
             o.answers.add(scratch.len() as u64);
         }
-        if retain {
+        if config.retain_answers {
             retained.append(&mut scratch);
         } else {
             scratch.clear();
@@ -415,8 +621,26 @@ fn shard_worker<P: ShardProcessor>(
             *p = Stopwatch::start();
         }
     }
-    if check_invariants {
-        let result = processor.check_invariants();
+    // End of stream: close out every window still holding data. The
+    // shard's final watermark durably covers everything it accepted. A
+    // resident run skips this — the stream is pausing, not ending — and
+    // reports the watermark it actually reached, so open windows survive
+    // into the next cycle.
+    if finish {
+        T::finish(&mut processor, &mut scratch);
+        if let Some(max) = T::max_ts(&processor) {
+            watermark = watermark.max(max.saturating_add(1));
+        }
+        answers += scratch.len() as u64;
+        if let Some(o) = &obs {
+            o.answers.add(scratch.len() as u64);
+        }
+        if config.retain_answers {
+            retained.append(&mut scratch);
+        }
+    }
+    if config.check_invariants {
+        let result = T::check_invariants(&mut processor);
         if let Some(rec) = obs.as_ref().and_then(|o| o.recorder.as_ref()) {
             rec.record(EventKind::InvariantCheck, result.is_ok() as u64, 0);
         }
@@ -426,7 +650,10 @@ fn shard_worker<P: ShardProcessor>(
         }
     }
     if let Some(o) = &obs {
-        o.keys.set(processor.keys() as u64);
+        o.keys.set(T::keys(&processor) as u64);
+        if let Some(lag) = &o.watermark_lag {
+            lag.set(0);
+        }
         if let Some(rec) = &o.recorder {
             rec.record(EventKind::Drain, tuples, answers);
         }
@@ -437,9 +664,9 @@ fn shard_worker<P: ShardProcessor>(
         tuples,
         answers,
         batches,
-        keys: processor.keys(),
+        keys: T::keys(&processor),
         max_queue_depth: gauge.max_depth(),
-        watermark: 0,
+        watermark,
         elapsed: started.elapsed(),
     };
     (stats, retained, processor)

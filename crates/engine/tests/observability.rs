@@ -9,10 +9,15 @@ use std::time::Duration;
 
 use swag_core::algorithms::SlickDequeInv;
 use swag_core::ops::Sum;
+use swag_data::event::KeyedVecEventSource;
 use swag_data::keyed::{Key, KeyedSource, KeyedVecSource};
-use swag_engine::{EngineConfig, KeyedWindows, ObservabilityConfig, ShardProcessor, ShardedEngine};
+use swag_engine::{
+    EngineConfig, KeyedEventWindows, KeyedWindows, ObservabilityConfig, ShardProcessor,
+    ShardedEngine,
+};
 use swag_metrics::registry::MetricRegistry;
 use swag_metrics::Json;
+use swag_stream::TimeWindowSpec;
 
 fn tuples(n: u64, keys: u64) -> Vec<(Key, f64)> {
     (0..n).map(|i| (i % keys, (i % 13) as f64)).collect()
@@ -234,4 +239,75 @@ fn worker_panic_leaves_a_parseable_post_mortem() {
     let capacity = doc.get("capacity").and_then(Json::as_u64).unwrap();
     assert!(recorded >= capacity, "the ring wrapped before the crash");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Count and event runs share one router and worker loop, but only an
+/// event run has a watermark: it alone registers the watermark-lag gauge
+/// and the late-drop counter and records watermark advances, while only
+/// a count run marks the aggregator's bulk path.
+#[test]
+fn each_run_kind_exposes_only_its_own_series_and_events() {
+    let input = tuples(4_000, 5);
+    let run = |event_time: bool| {
+        let dir = temp_dir(if event_time {
+            "kind-event"
+        } else {
+            "kind-count"
+        });
+        let registry = Arc::new(MetricRegistry::new());
+        let engine = ShardedEngine::new(EngineConfig {
+            shards: 1,
+            queue_capacity: 4,
+            batch: 64,
+            retain_answers: false,
+            check_invariants: false,
+            obs: ObservabilityConfig {
+                registry: Some(registry.clone()),
+                trace_capacity: 4096,
+                trace_out: Some(dir.clone()),
+                sample_interval: None,
+                labels: Vec::new(),
+            },
+        });
+        if event_time {
+            let events = input
+                .iter()
+                .enumerate()
+                .map(|(ts, &(key, value))| (key, ts as u64, value))
+                .collect();
+            let mut source = KeyedVecEventSource::new(events, 0);
+            engine.run_events(&mut source, u64::MAX, None, |_| {
+                KeyedEventWindows::new(Sum::<f64>::new(), vec![TimeWindowSpec::tumbling(64)])
+            });
+        } else {
+            let mut source = KeyedVecSource::new(input.clone());
+            engine.run(&mut source, u64::MAX, |_| {
+                KeyedWindows::<_, SlickDequeInv<_>>::new(Sum::<f64>::new(), 16)
+            });
+        }
+        let text = registry.snapshot().to_prometheus_text();
+        let kinds = event_kinds(&read_flightrec(&dir, 0));
+        std::fs::remove_dir_all(&dir).ok();
+        (text, kinds)
+    };
+    let has = |kinds: &[String], kind: &str| kinds.iter().any(|k| k == kind);
+
+    let (text, kinds) = run(false);
+    for series in ["swag_engine_watermark_lag", "swag_engine_late_tuples_total"] {
+        assert!(!text.contains(series), "count run registered `{series}`");
+    }
+    assert!(has(&kinds, "bulk_evict"), "count run marks bulk slides");
+    assert!(
+        !has(&kinds, "watermark_advance"),
+        "count run advanced a watermark"
+    );
+
+    let (text, kinds) = run(true);
+    for series in ["swag_engine_watermark_lag", "swag_engine_late_tuples_total"] {
+        assert!(text.contains(series), "event run lacks `{series}`");
+    }
+    assert!(
+        has(&kinds, "watermark_advance"),
+        "event run advanced its watermark"
+    );
 }

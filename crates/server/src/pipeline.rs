@@ -27,11 +27,11 @@ use swag_core::algorithms::{
 };
 use swag_core::ops::AggregateOp;
 use swag_core::ops::{MaxF64, Mean, MinF64, StdDev, Sum, Variance};
-use swag_core::state::{PartialCodec, StateReader, StateWriter, StatefulAggregator};
-use swag_data::keyed::KeyedVecSource;
-use swag_data::{Key, KeyedEventSource};
+use swag_core::state::{PartialCodec, StateError, StateReader, StateWriter, StatefulAggregator};
+use swag_data::{Key, KeyedEventSource, KeyedSource};
 use swag_engine::{
-    shard_of, EngineConfig, KeyedEventWindows, KeyedWindows, ObservabilityConfig, ShardedEngine,
+    shard_of, EngineConfig, EngineRun, KeyedEventWindows, KeyedWindows, ObservabilityConfig,
+    ShardedEngine,
 };
 use swag_metrics::clock::Stopwatch;
 use swag_metrics::json::Json;
@@ -322,71 +322,6 @@ fn collect_cycle(ctx: &PipelineCtx) -> Cycle {
     cycle
 }
 
-/// Capture every shard's per-key state into a snapshot (count plan).
-fn snapshot_count<O, A>(
-    ctx: &PipelineCtx,
-    op: &O,
-    slots: &[Option<KeyedWindows<O, A>>],
-) -> Result<PathBuf, String>
-where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send,
-    O::Partial: Send,
-    A: FinalAggregator<O> + StatefulAggregator<O> + Send,
-{
-    let mut keys = Vec::new();
-    for slot in slots {
-        let p = slot.as_ref().expect("processor parked between cycles");
-        let mut shard_keys: Vec<KeyState> = p
-            .states()
-            .map(|(k, agg)| {
-                let mut w = StateWriter::new();
-                agg.save_state(&mut w);
-                let (words, partials) = w.into_parts();
-                KeyState::encode(k, words, &partials, op)
-            })
-            .collect();
-        // Canonical bytes: key order within the shard (the per-key map
-        // iterates in hash order).
-        shard_keys.sort_by_key(|k| k.key);
-        keys.extend(shard_keys);
-    }
-    let snap = Snapshot {
-        spec: ctx.spec.clone(),
-        watermark: 0,
-        keys,
-    };
-    write_snapshot(&ctx.snapshot_dir, &snap)
-}
-
-/// Capture every shard's per-key executor into a snapshot (event plan).
-fn snapshot_event<O>(
-    ctx: &PipelineCtx,
-    op: &O,
-    slots: &[Option<KeyedEventWindows<O>>],
-    watermark: u64,
-) -> Result<PathBuf, String>
-where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send,
-    O::Partial: Send,
-{
-    let mut keys = Vec::new();
-    for slot in slots {
-        let p = slot.as_ref().expect("processor parked between cycles");
-        for (k, exec) in p.states() {
-            let mut w = StateWriter::new();
-            exec.save_state(&mut w);
-            let (words, partials) = w.into_parts();
-            keys.push(KeyState::encode(k, words, &partials, op));
-        }
-    }
-    let snap = Snapshot {
-        spec: ctx.spec.clone(),
-        watermark,
-        keys,
-    };
-    write_snapshot(&ctx.snapshot_dir, &snap)
-}
-
 /// The engine observability config for a pipeline's cycles: the shared
 /// server registry with a `pipeline=<name>` label (so engine series —
 /// slide latency, shard phase occupancy, queue depth — stay separable
@@ -428,137 +363,207 @@ fn mark_stopped(ctx: &PipelineCtx, error: Option<String>) {
     }
 }
 
-/// The worker loop for an arrival-order (count-window) pipeline.
-pub(crate) fn count_worker<O, A>(ctx: PipelineCtx, op: O, initial: Vec<(Key, A)>)
+/// The per-shard processor a pipeline parks between cycles — a
+/// count-window [`KeyedWindows`] or an event-time [`KeyedEventWindows`] —
+/// and what a cycle, an answer and a snapshot key block are for it.
+trait Resident<O: AggregateOp>: Sized + Send {
+    /// The answer the engine delivers per key.
+    type Answer;
+
+    /// A processor for `plan` holding the decoded snapshot `keys` (empty
+    /// for a fresh pipeline).
+    fn resume(op: &O, plan: PlanKind, keys: &[&KeyState]) -> Result<Self, String>;
+
+    /// Run one cycle's tuples through `engine`, taking each shard's
+    /// processor from `take` and leaving open windows open.
+    fn run_cycle(
+        engine: &ShardedEngine,
+        source: &mut CycleSource<'_>,
+        take: &(dyn Fn(usize) -> Self + Sync),
+    ) -> (EngineRun<Self::Answer>, Vec<Self>);
+
+    /// Fold a cycle's answers into the pipeline's answer table.
+    fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, Self::Answer)>]);
+
+    /// Append every key's captured state, in any order.
+    fn capture(&self, op: &O, out: &mut Vec<KeyState>);
+}
+
+/// Capture one key's state with `save` and encode it with `op`'s codec.
+fn key_state<O: PartialCodec>(
+    op: &O,
+    key: Key,
+    save: impl FnOnce(&mut StateWriter<O::Partial>),
+) -> KeyState {
+    let mut w = StateWriter::new();
+    save(&mut w);
+    let (words, partials) = w.into_parts();
+    KeyState::encode(key, words, &partials, op)
+}
+
+/// Decode snapshot key blocks into live per-key states with `load`,
+/// rejecting a block that `load` does not consume exactly.
+fn decode_keys<O: PartialCodec, S>(
+    op: &O,
+    keys: &[&KeyState],
+    load: impl Fn(&mut StateReader<'_, O::Partial>) -> Result<S, StateError>,
+) -> Result<Vec<(Key, S)>, String> {
+    keys.iter()
+        .map(|ks| {
+            let state = ks.decode_partials(op).and_then(|partials| {
+                let mut r = StateReader::new(&ks.words, &partials);
+                load(&mut r).and_then(|s| r.finish().map(|()| s))
+            });
+            state
+                .map(|s| (ks.key, s))
+                .map_err(|e| format!("key {}: {e}", ks.key))
+        })
+        .collect()
+}
+
+impl<O, A> Resident<O> for KeyedWindows<O, A>
 where
     O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send,
     O::Partial: Send,
     A: FinalAggregator<O> + StatefulAggregator<O> + Send,
 {
-    let window = match ctx.spec.plan {
-        PlanKind::Count { window } => window,
-        PlanKind::Event { .. } => unreachable!("count worker on event plan"),
-    };
-    let shards = ctx.spec.shards;
-    let mut groups: Vec<Vec<(Key, A)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (k, a) in initial {
-        groups[shard_of(k, shards)].push((k, a));
-    }
-    let mut slots: Vec<Option<KeyedWindows<O, A>>> = groups
-        .into_iter()
-        .map(|g| Some(KeyedWindows::from_states(op.clone(), window, g)))
-        .collect();
-    let engine = ShardedEngine::new(EngineConfig {
-        shards,
-        batch: ctx.spec.batch,
-        retain_answers: true,
-        obs: engine_obs(&ctx),
-        ..EngineConfig::default()
-    });
+    type Answer = f64;
 
-    let mut phase = Stopwatch::start();
-    loop {
-        let cycle = collect_cycle(&ctx);
-        ctx.obs.blocked_ns.add(phase.elapsed_ns());
-        phase = Stopwatch::start();
-        if !cycle.tuples.is_empty() {
-            ctx.record_stage(&cycle.tuples, Stage::AggStart, cycle.tuples.len() as u64);
-            let mut source =
-                KeyedVecSource::new(cycle.tuples.iter().map(|t| (t.key, t.value)).collect());
-            let cell = Mutex::new(slots);
-            let (run, procs) = engine.run_collecting(&mut source, u64::MAX, |shard| {
-                cell.lock().unwrap()[shard]
-                    .take()
-                    .expect("one parked processor per shard")
-            });
-            slots = procs.into_iter().map(Some).collect();
-            ctx.record_stage(&cycle.tuples, Stage::AggEnd, run.stats.answers);
-            record_run(&ctx, &run.stats, &cycle.tuples);
-            {
-                let mut table = ctx.answers.lock().unwrap();
-                if let AnswerTable::Count(map) = &mut *table {
-                    for shard_answers in &run.answers {
-                        for &(k, v) in shard_answers {
-                            map.insert(k, v);
-                        }
-                    }
-                }
+    fn resume(op: &O, plan: PlanKind, keys: &[&KeyState]) -> Result<Self, String> {
+        let PlanKind::Count { window } = plan else {
+            unreachable!("validated: count algorithm on an event plan")
+        };
+        let states = decode_keys(op, keys, |r| A::load_state(op.clone(), window, r))?;
+        Ok(KeyedWindows::from_states(op.clone(), window, states))
+    }
+
+    fn run_cycle(
+        engine: &ShardedEngine,
+        source: &mut CycleSource<'_>,
+        take: &(dyn Fn(usize) -> Self + Sync),
+    ) -> (EngineRun<f64>, Vec<Self>) {
+        engine.run_collecting(source, u64::MAX, take)
+    }
+
+    fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, f64)>]) {
+        if let AnswerTable::Count(map) = table {
+            for &(k, v) in answers.iter().flatten() {
+                map.insert(k, v);
             }
-            // The answer table is published: sampled answers exist now.
-            ctx.record_stage(&cycle.tuples, Stage::Emit, 0);
         }
-        for reply in cycle.snap_reqs {
-            let _ = reply.send(snapshot_count(&ctx, &op, &slots));
-        }
-        ctx.obs.busy_ns.add(phase.elapsed_ns());
-        phase = Stopwatch::start();
-        match cycle.stop {
-            Some(true) => {
-                let err = snapshot_count(&ctx, &op, &slots).err();
-                mark_stopped(&ctx, err);
-                return;
-            }
-            Some(false) => {
-                mark_stopped(&ctx, None);
-                return;
-            }
-            None => {}
-        }
+    }
+
+    fn capture(&self, op: &O, out: &mut Vec<KeyState>) {
+        out.extend(
+            self.states()
+                .map(|(k, agg)| key_state(op, k, |w| agg.save_state(w))),
+        );
     }
 }
 
-/// The cycle's view of its tuple batch as a watermarked event source.
-///
-/// The frontier (largest timestamp seen) persists across cycles in the
-/// worker, so the watermark never regresses when the stream pauses; the
-/// low watermark trails it by the spec's allowed lateness and the engine
-/// router drops (and counts) anything below it.
-struct CycleEventSource<'a> {
-    tuples: std::slice::Iter<'a, IngestTuple>,
-    frontier: u64,
-    lateness: u64,
-}
-
-impl KeyedEventSource for CycleEventSource<'_> {
-    fn next_event(&mut self) -> Option<(Key, u64, f64)> {
-        let t = self.tuples.next()?;
-        self.frontier = self.frontier.max(t.ts);
-        Some((t.key, t.ts, t.value))
-    }
-
-    fn low_watermark(&self) -> u64 {
-        self.frontier.saturating_sub(self.lateness)
-    }
-}
-
-/// The worker loop for an event-time (FiBA) pipeline.
-pub(crate) fn event_worker<O>(
-    ctx: PipelineCtx,
-    op: O,
-    initial: Vec<(Key, TimeWindowExec<O>)>,
-    restored_watermark: u64,
-) where
+impl<O> Resident<O> for KeyedEventWindows<O>
+where
     O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send,
     O::Partial: Send + Clone,
 {
-    let (range, slide, lateness) = match ctx.spec.plan {
-        PlanKind::Event {
-            range,
-            slide,
-            lateness,
-        } => (range, slide, lateness),
-        PlanKind::Count { .. } => unreachable!("event worker on count plan"),
-    };
-    let specs = vec![TimeWindowSpec::new(range, slide)];
-    let shards = ctx.spec.shards;
-    let mut groups: Vec<Vec<(Key, TimeWindowExec<O>)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (k, exec) in initial {
-        groups[shard_of(k, shards)].push((k, exec));
+    type Answer = (usize, u64, f64);
+
+    fn resume(op: &O, plan: PlanKind, keys: &[&KeyState]) -> Result<Self, String> {
+        let PlanKind::Event { range, slide, .. } = plan else {
+            unreachable!("validated: fiba on a count plan")
+        };
+        let states = decode_keys(op, keys, |r| TimeWindowExec::load_state(op.clone(), r))?;
+        let specs = vec![TimeWindowSpec::new(range, slide)];
+        Ok(KeyedEventWindows::from_states(op.clone(), specs, states))
     }
-    let mut slots: Vec<Option<KeyedEventWindows<O>>> = groups
-        .into_iter()
-        .map(|g| Some(KeyedEventWindows::from_states(op.clone(), specs.clone(), g)))
-        .collect();
+
+    fn run_cycle(
+        engine: &ShardedEngine,
+        source: &mut CycleSource<'_>,
+        take: &(dyn Fn(usize) -> Self + Sync),
+    ) -> (EngineRun<Self::Answer>, Vec<Self>) {
+        engine.run_events_collecting(source, u64::MAX, None, take)
+    }
+
+    fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, Self::Answer)>]) {
+        if let AnswerTable::Event(map) = table {
+            for &(k, (q, end, v)) in answers.iter().flatten() {
+                map.insert((k, q), (end, v));
+            }
+        }
+    }
+
+    fn capture(&self, op: &O, out: &mut Vec<KeyState>) {
+        out.extend(
+            self.states()
+                .map(|(k, exec)| key_state(op, k, |w| exec.save_state(w))),
+        );
+    }
+}
+
+/// One processor per shard for `spec`, each holding its shard's keys
+/// from `restore` (restore re-partitions by [`shard_of`], so the shard
+/// count may differ from the one captured).
+fn resume_shards<O, P>(
+    op: &O,
+    spec: &PipelineSpec,
+    restore: Option<&Snapshot>,
+) -> Result<Vec<P>, String>
+where
+    O: AggregateOp,
+    P: Resident<O>,
+{
+    let shards = spec.shards;
+    let mut groups: Vec<Vec<&KeyState>> = (0..shards).map(|_| Vec::new()).collect();
+    for ks in restore.iter().flat_map(|snap| &snap.keys) {
+        groups[shard_of(ks.key, shards)].push(ks);
+    }
+    groups.iter().map(|g| P::resume(op, spec.plan, g)).collect()
+}
+
+/// Capture every shard's per-key state into a snapshot file. Keys are
+/// in shard order, then key order within a shard — the canonical bytes,
+/// whatever order a processor's per-key map iterates in.
+fn snapshot<O, P>(
+    ctx: &PipelineCtx,
+    op: &O,
+    slots: &[Option<P>],
+    watermark: u64,
+) -> Result<PathBuf, String>
+where
+    O: AggregateOp,
+    P: Resident<O>,
+{
+    let mut keys = Vec::new();
+    for slot in slots {
+        let start = keys.len();
+        slot.as_ref()
+            .expect("processor parked between cycles")
+            .capture(op, &mut keys);
+        keys[start..].sort_by_key(|k: &KeyState| k.key);
+    }
+    let snap = Snapshot {
+        spec: ctx.spec.clone(),
+        watermark,
+        keys,
+    };
+    write_snapshot(&ctx.snapshot_dir, &snap)
+}
+
+/// The worker loop of every pipeline, count or event-time alike.
+///
+/// The cycle source's frontier (largest timestamp seen) persists across
+/// cycles, so an event pipeline's watermark never regresses when the
+/// stream pauses; a count pipeline never reads a timestamp, so its
+/// frontier and watermark stay 0.
+fn worker<O, P>(ctx: PipelineCtx, op: O, processors: Vec<P>, restored_watermark: u64)
+where
+    O: AggregateOp,
+    P: Resident<O>,
+{
+    let plan = ctx.spec.plan;
+    let shards = ctx.spec.shards;
+    let mut slots: Vec<Option<P>> = processors.into_iter().map(Some).collect();
     let engine = ShardedEngine::new(EngineConfig {
         shards,
         batch: ctx.spec.batch,
@@ -566,15 +571,16 @@ pub(crate) fn event_worker<O>(
         obs: engine_obs(&ctx),
         ..EngineConfig::default()
     });
+    let lateness = match plan {
+        PlanKind::Event { lateness, .. } => lateness,
+        PlanKind::Count { .. } => 0,
+    };
     // Resume the watermark where the snapshot cut it: the frontier is
     // placed so the first cycle's low watermark starts at exactly the
     // restored value, and every executor already sits at or above it.
     let mut frontier = restored_watermark.saturating_add(lateness);
     let mut watermark = restored_watermark;
-    {
-        let mut st = ctx.status.lock().unwrap();
-        st.watermark = st.watermark.max(watermark);
-    }
+    ctx.status.lock().unwrap().watermark = watermark;
 
     let mut phase = Stopwatch::start();
     loop {
@@ -583,13 +589,13 @@ pub(crate) fn event_worker<O>(
         phase = Stopwatch::start();
         if !cycle.tuples.is_empty() {
             ctx.record_stage(&cycle.tuples, Stage::AggStart, cycle.tuples.len() as u64);
-            let mut source = CycleEventSource {
+            let mut source = CycleSource {
                 tuples: cycle.tuples.iter(),
                 frontier,
                 lateness,
             };
             let cell = Mutex::new(slots);
-            let (run, procs) = engine.run_events_collecting(&mut source, u64::MAX, None, |shard| {
+            let (run, procs) = P::run_cycle(&engine, &mut source, &|shard| {
                 cell.lock().unwrap()[shard]
                     .take()
                     .expect("one parked processor per shard")
@@ -600,80 +606,55 @@ pub(crate) fn event_worker<O>(
             ctx.record_stage(&cycle.tuples, Stage::AggEnd, run.stats.answers);
             record_run(&ctx, &run.stats, &cycle.tuples);
             ctx.obs.lag.set(frontier.saturating_sub(watermark));
-            {
-                let mut table = ctx.answers.lock().unwrap();
-                if let AnswerTable::Event(map) = &mut *table {
-                    for shard_answers in &run.answers {
-                        for &(k, (q, end, v)) in shard_answers {
-                            map.insert((k, q), (end, v));
-                        }
-                    }
-                }
-            }
+            P::publish(&mut ctx.answers.lock().unwrap(), &run.answers);
             // The answer table is published: sampled answers exist now.
             ctx.record_stage(&cycle.tuples, Stage::Emit, 0);
         }
         for reply in cycle.snap_reqs {
-            let _ = reply.send(snapshot_event(&ctx, &op, &slots, watermark));
+            let _ = reply.send(snapshot(&ctx, &op, &slots, watermark));
         }
         ctx.obs.busy_ns.add(phase.elapsed_ns());
         phase = Stopwatch::start();
-        match cycle.stop {
-            Some(true) => {
-                let err = snapshot_event(&ctx, &op, &slots, watermark).err();
-                mark_stopped(&ctx, err);
-                return;
-            }
-            Some(false) => {
-                mark_stopped(&ctx, None);
-                return;
-            }
-            None => {}
+        if let Some(snapshot_first) = cycle.stop {
+            let err = if snapshot_first {
+                snapshot(&ctx, &op, &slots, watermark).err()
+            } else {
+                None
+            };
+            mark_stopped(&ctx, err);
+            return;
         }
     }
 }
 
-/// Decode a snapshot's key blocks into live count-window aggregators.
-fn decode_count_states<O, A>(
-    op: &O,
-    window: usize,
-    snap: &Snapshot,
-) -> Result<Vec<(Key, A)>, String>
-where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone,
-    A: FinalAggregator<O> + StatefulAggregator<O>,
-{
-    let mut out = Vec::with_capacity(snap.keys.len());
-    for ks in &snap.keys {
-        let partials = ks
-            .decode_partials(op)
-            .map_err(|e| format!("key {}: {e}", ks.key))?;
-        let mut r = StateReader::new(&ks.words, &partials);
-        let agg = A::load_state(op.clone(), window, &mut r)
-            .and_then(|a| r.finish().map(|()| a))
-            .map_err(|e| format!("key {}: {e}", ks.key))?;
-        out.push((ks.key, agg));
-    }
-    Ok(out)
+/// A cycle's queued tuples as the engine reads them, borrowed in place:
+/// `(key, value)` pairs for a count run, or a watermarked event source.
+///
+/// The low watermark trails the frontier by the spec's allowed lateness,
+/// and the engine router drops (and counts) anything below it.
+struct CycleSource<'a> {
+    tuples: std::slice::Iter<'a, IngestTuple>,
+    frontier: u64,
+    lateness: u64,
 }
 
-/// Decode a snapshot's key blocks into live event-time executors.
-fn decode_event_states<O>(op: &O, snap: &Snapshot) -> Result<Vec<(Key, TimeWindowExec<O>)>, String>
-where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone,
-{
-    let mut out = Vec::with_capacity(snap.keys.len());
-    for ks in &snap.keys {
-        let partials = ks
-            .decode_partials(op)
-            .map_err(|e| format!("key {}: {e}", ks.key))?;
-        let mut r = StateReader::new(&ks.words, &partials);
-        let exec = TimeWindowExec::load_state(op.clone(), &mut r)
-            .and_then(|a| r.finish().map(|()| a))
-            .map_err(|e| format!("key {}: {e}", ks.key))?;
-        out.push((ks.key, exec));
+impl KeyedSource for CycleSource<'_> {
+    fn next_tuple(&mut self) -> Option<(Key, f64)> {
+        let t = self.tuples.next()?;
+        Some((t.key, t.value))
     }
-    Ok(out)
+}
+
+impl KeyedEventSource for CycleSource<'_> {
+    fn next_event(&mut self) -> Option<(Key, u64, f64)> {
+        let t = self.tuples.next()?;
+        self.frontier = self.frontier.max(t.ts);
+        Some((t.key, t.ts, t.value))
+    }
+
+    fn low_watermark(&self) -> u64 {
+        self.frontier.saturating_sub(self.lateness)
+    }
 }
 
 /// Spawn a pipeline worker for `spec`, optionally seeding it from a
@@ -715,85 +696,44 @@ pub(crate) fn spawn_pipeline(
         registry: Arc::clone(registry),
         trace: trace.clone(),
     };
-    let window = match spec.plan {
-        PlanKind::Count { window } => window,
-        PlanKind::Event { .. } => 0,
-    };
     let restored_watermark = restore.map_or(0, |s| s.watermark);
     let thread_name = format!("swag-pipe-{}", spec.name);
 
-    macro_rules! count_pipe {
-        ($op:expr, $A:ident) => {{
+    macro_rules! pipe {
+        ($op:expr, $P:ty) => {{
             let op = $op;
-            let initial: Vec<(Key, $A<_>)> = match restore {
-                Some(snap) => decode_count_states(&op, window, snap)?,
-                None => Vec::new(),
-            };
+            let processors = resume_shards::<_, $P>(&op, &spec, restore)?;
             std::thread::Builder::new()
                 .name(thread_name.clone())
-                .spawn(move || count_worker(ctx, op, initial))
+                .spawn(move || worker(ctx, op, processors, restored_watermark))
                 .map_err(|e| format!("spawn pipeline thread: {e}"))?
         }};
     }
-    macro_rules! event_pipe {
-        ($op:expr) => {{
-            let op = $op;
-            let initial = match restore {
-                Some(snap) => decode_event_states(&op, snap)?,
-                None => Vec::new(),
-            };
-            std::thread::Builder::new()
-                .name(thread_name.clone())
-                .spawn(move || event_worker(ctx, op, initial, restored_watermark))
-                .map_err(|e| format!("spawn pipeline thread: {e}"))?
-        }};
-    }
-    macro_rules! inv_algos {
-        ($op:expr) => {
+    // `slick` is the SlickDeque flavor for the op's class; validation
+    // pairs fiba with event plans and every other algorithm with count
+    // plans.
+    macro_rules! algos {
+        ($op:expr, $slick:ident) => {
             match spec.algo {
-                AlgoKind::SlickDeque => count_pipe!($op, SlickDequeInv),
-                AlgoKind::Naive => count_pipe!($op, Naive),
-                AlgoKind::FlatFat => count_pipe!($op, FlatFat),
-                AlgoKind::BInt => count_pipe!($op, BInt),
-                AlgoKind::FlatFit => count_pipe!($op, FlatFit),
-                AlgoKind::TwoStacks => count_pipe!($op, TwoStacks),
-                AlgoKind::Daba => count_pipe!($op, Daba),
-                AlgoKind::Fiba => unreachable!("validated: fiba is event-time only"),
-            }
-        };
-    }
-    macro_rules! sel_algos {
-        ($op:expr) => {
-            match spec.algo {
-                AlgoKind::SlickDeque => count_pipe!($op, SlickDequeNonInv),
-                AlgoKind::Naive => count_pipe!($op, Naive),
-                AlgoKind::FlatFat => count_pipe!($op, FlatFat),
-                AlgoKind::BInt => count_pipe!($op, BInt),
-                AlgoKind::FlatFit => count_pipe!($op, FlatFit),
-                AlgoKind::TwoStacks => count_pipe!($op, TwoStacks),
-                AlgoKind::Daba => count_pipe!($op, Daba),
-                AlgoKind::Fiba => unreachable!("validated: fiba is event-time only"),
+                AlgoKind::SlickDeque => pipe!($op, KeyedWindows<_, $slick<_>>),
+                AlgoKind::Naive => pipe!($op, KeyedWindows<_, Naive<_>>),
+                AlgoKind::FlatFat => pipe!($op, KeyedWindows<_, FlatFat<_>>),
+                AlgoKind::BInt => pipe!($op, KeyedWindows<_, BInt<_>>),
+                AlgoKind::FlatFit => pipe!($op, KeyedWindows<_, FlatFit<_>>),
+                AlgoKind::TwoStacks => pipe!($op, KeyedWindows<_, TwoStacks<_>>),
+                AlgoKind::Daba => pipe!($op, KeyedWindows<_, Daba<_>>),
+                AlgoKind::Fiba => pipe!($op, KeyedEventWindows<_>),
             }
         };
     }
 
-    let join = match spec.plan {
-        PlanKind::Count { .. } => match spec.op {
-            OpKind::Sum => inv_algos!(Sum::<f64>::new()),
-            OpKind::Mean => inv_algos!(Mean::new()),
-            OpKind::Variance => inv_algos!(Variance::new()),
-            OpKind::StdDev => inv_algos!(StdDev::new()),
-            OpKind::Max => sel_algos!(MaxF64::new()),
-            OpKind::Min => sel_algos!(MinF64::new()),
-        },
-        PlanKind::Event { .. } => match spec.op {
-            OpKind::Sum => event_pipe!(Sum::<f64>::new()),
-            OpKind::Mean => event_pipe!(Mean::new()),
-            OpKind::Variance => event_pipe!(Variance::new()),
-            OpKind::StdDev => event_pipe!(StdDev::new()),
-            OpKind::Max => event_pipe!(MaxF64::new()),
-            OpKind::Min => event_pipe!(MinF64::new()),
-        },
+    let join = match spec.op {
+        OpKind::Sum => algos!(Sum::<f64>::new(), SlickDequeInv),
+        OpKind::Mean => algos!(Mean::new(), SlickDequeInv),
+        OpKind::Variance => algos!(Variance::new(), SlickDequeInv),
+        OpKind::StdDev => algos!(StdDev::new(), SlickDequeInv),
+        OpKind::Max => algos!(MaxF64::new(), SlickDequeNonInv),
+        OpKind::Min => algos!(MinF64::new(), SlickDequeNonInv),
     };
     Ok(PipelineHandle {
         spec,

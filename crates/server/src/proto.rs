@@ -35,6 +35,11 @@ pub const MAX_FRAME_TUPLES: u32 = 1 << 20;
 /// Largest accepted pipeline-name length on the wire.
 pub const MAX_NAME_BYTES: u16 = 64;
 
+/// Largest accepted text-mode tuple line, terminator excluded: ample for
+/// `key,ts,value` in any decimal spelling, small enough that a line that
+/// never ends cannot grow a connection's buffer.
+pub const MAX_TEXT_LINE_BYTES: usize = 256;
+
 /// Encode one binary frame of `(key, ts, value)` tuples into `out`.
 pub fn encode_frame(tuples: &[(u64, u64, f64)], out: &mut Vec<u8>) {
     out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());

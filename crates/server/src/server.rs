@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use swag_engine::HttpServer;
 use swag_metrics::clock::Stopwatch;
 use swag_metrics::json::Json;
 use swag_metrics::registry::{Counter, MetricRegistry};
@@ -17,7 +18,7 @@ use swag_metrics::QueueDepthGauge;
 use swag_trace::chrome::write_chrome_trace;
 use swag_trace::{FlightRecorder, SpanSampler, Stage};
 
-use crate::control::ControlServer;
+use crate::control;
 use crate::pipeline::{spawn_pipeline, IngestTuple, Msg, PipelineHandle};
 use crate::proto;
 use crate::slo;
@@ -275,7 +276,7 @@ pub struct SwagServer {
     ingest_addr: SocketAddr,
     ingest_join: Option<JoinHandle<()>>,
     slo_join: Option<JoinHandle<()>>,
-    control: Option<ControlServer>,
+    control: Option<HttpServer>,
 }
 
 impl SwagServer {
@@ -310,7 +311,7 @@ impl SwagServer {
         let slo_join = std::thread::Builder::new()
             .name("swag-slo".into())
             .spawn(move || slo::evaluator_loop(&slo_state, slo_interval))?;
-        let control = ControlServer::start(&config.http_addr, Arc::clone(&state))?;
+        let control = control::start(&config.http_addr, Arc::clone(&state))?;
         Ok(SwagServer {
             state,
             ingest_addr,
@@ -330,7 +331,7 @@ impl SwagServer {
         self.control
             .as_ref()
             .expect("control runs until shutdown")
-            .addr()
+            .local_addr()
     }
 
     /// Create a fresh pipeline.
@@ -549,7 +550,7 @@ fn serve_text(first4: [u8; 4], stream: &mut TcpStream, state: &ServerState) -> R
     let pre = io::Cursor::new(first4.to_vec());
     let mut r = io::BufReader::new(pre.chain(&mut *stream));
     let mut name = String::new();
-    r.read_line(&mut name)
+    read_line_capped(&mut r, &mut name, usize::from(proto::MAX_NAME_BYTES))
         .map_err(|e| format!("read pipeline name: {e}"))?;
     let target = state.ingest_target(name.trim())?;
     let mut buf: Vec<(u64, u64, f64)> = Vec::with_capacity(256);
@@ -557,9 +558,7 @@ fn serve_text(first4: [u8; 4], stream: &mut TcpStream, state: &ServerState) -> R
     let mut line = String::new();
     let mut frame = 0u64;
     loop {
-        line.clear();
-        let n = r
-            .read_line(&mut line)
+        let n = read_line_capped(&mut r, &mut line, proto::MAX_TEXT_LINE_BYTES)
             .map_err(|e| format!("read line: {e}"))?;
         if n == 0 {
             break;
@@ -577,4 +576,20 @@ fn serve_text(first4: [u8; 4], stream: &mut TcpStream, state: &ServerState) -> R
     }
     forward(&target, state, &buf, &mut sent, frame)?;
     Ok(sent)
+}
+
+/// Read one line into `line` (cleared first), returning its length in
+/// bytes (0 at EOF). A line holding more than `max` bytes before its
+/// `\n` or `\r\n` is an error, so a client that never ends a line cannot
+/// grow the buffer without bound.
+fn read_line_capped(r: &mut impl BufRead, line: &mut String, max: usize) -> io::Result<usize> {
+    line.clear();
+    let n = r.take(max as u64 + 2).read_line(line)?;
+    if n == max + 2 && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line longer than {max} bytes"),
+        ));
+    }
+    Ok(n)
 }

@@ -32,33 +32,26 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// Every op with its wire/JSON name. Variants are declared in table
+    /// order, so an op's snapshot tag is its table position.
+    const TABLE: [(OpKind, &'static str); 6] = [
+        (OpKind::Sum, "sum"),
+        (OpKind::Mean, "mean"),
+        (OpKind::Variance, "variance"),
+        (OpKind::StdDev, "stddev"),
+        (OpKind::Max, "max"),
+        (OpKind::Min, "min"),
+    ];
+
     /// Wire/JSON name.
     pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Sum => "sum",
-            OpKind::Mean => "mean",
-            OpKind::Variance => "variance",
-            OpKind::StdDev => "stddev",
-            OpKind::Max => "max",
-            OpKind::Min => "min",
-        }
+        // check:allow variants are declared in table order, so the index is in bounds
+        Self::TABLE[self as usize].1
     }
 
     /// Parse a wire/JSON name.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "sum" => OpKind::Sum,
-            "mean" => OpKind::Mean,
-            "variance" => OpKind::Variance,
-            "stddev" => OpKind::StdDev,
-            "max" => OpKind::Max,
-            "min" => OpKind::Min,
-            other => {
-                return Err(format!(
-                    "unknown op {other:?} (want sum/mean/variance/stddev/max/min)"
-                ))
-            }
-        })
+        parse_name(&Self::TABLE, "op", s)
     }
 
     /// Whether the op has a subtract (picks the SlickDeque flavor).
@@ -71,27 +64,31 @@ impl OpKind {
 
     /// Stable tag byte for the snapshot header.
     pub fn tag(self) -> u8 {
-        match self {
-            OpKind::Sum => 0,
-            OpKind::Mean => 1,
-            OpKind::Variance => 2,
-            OpKind::StdDev => 3,
-            OpKind::Max => 4,
-            OpKind::Min => 5,
-        }
+        self as u8
     }
 
     /// Inverse of [`tag`](Self::tag).
     pub fn from_tag(t: u8) -> Result<Self, String> {
-        Ok(match t {
-            0 => OpKind::Sum,
-            1 => OpKind::Mean,
-            2 => OpKind::Variance,
-            3 => OpKind::StdDev,
-            4 => OpKind::Max,
-            5 => OpKind::Min,
-            other => return Err(format!("unknown op tag {other}")),
-        })
+        from_tag(&Self::TABLE, "op", t)
+    }
+}
+
+/// Look `s` up by name in a `(kind, name)` table.
+fn parse_name<K: Copy>(table: &[(K, &str)], what: &str, s: &str) -> Result<K, String> {
+    match table.iter().find(|&&(_, name)| name == s) {
+        Some(&(kind, _)) => Ok(kind),
+        None => {
+            let names: Vec<&str> = table.iter().map(|&(_, name)| name).collect();
+            Err(format!("unknown {what} {s:?} (want {})", names.join("/")))
+        }
+    }
+}
+
+/// Look a snapshot tag up by position in a `(kind, name)` table.
+fn from_tag<K: Copy>(table: &[(K, &str)], what: &str, t: u8) -> Result<K, String> {
+    match table.get(usize::from(t)) {
+        Some(&(kind, _)) => Ok(kind),
+        None => Err(format!("unknown {what} tag {t}")),
     }
 }
 
@@ -123,66 +120,38 @@ pub enum AlgoKind {
 }
 
 impl AlgoKind {
+    /// Every algorithm with its wire/JSON name. Variants are declared in
+    /// table order, so an algorithm's snapshot tag is its table position.
+    const TABLE: [(AlgoKind, &'static str); 8] = [
+        (AlgoKind::SlickDeque, "slickdeque"),
+        (AlgoKind::Naive, "naive"),
+        (AlgoKind::FlatFat, "flatfat"),
+        (AlgoKind::BInt, "bint"),
+        (AlgoKind::FlatFit, "flatfit"),
+        (AlgoKind::TwoStacks, "twostacks"),
+        (AlgoKind::Daba, "daba"),
+        (AlgoKind::Fiba, "fiba"),
+    ];
+
     /// Wire/JSON name.
     pub fn name(self) -> &'static str {
-        match self {
-            AlgoKind::SlickDeque => "slickdeque",
-            AlgoKind::Naive => "naive",
-            AlgoKind::FlatFat => "flatfat",
-            AlgoKind::BInt => "bint",
-            AlgoKind::FlatFit => "flatfit",
-            AlgoKind::TwoStacks => "twostacks",
-            AlgoKind::Daba => "daba",
-            AlgoKind::Fiba => "fiba",
-        }
+        // check:allow variants are declared in table order, so the index is in bounds
+        Self::TABLE[self as usize].1
     }
 
     /// Parse a wire/JSON name.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "slickdeque" => AlgoKind::SlickDeque,
-            "naive" => AlgoKind::Naive,
-            "flatfat" => AlgoKind::FlatFat,
-            "bint" => AlgoKind::BInt,
-            "flatfit" => AlgoKind::FlatFit,
-            "twostacks" => AlgoKind::TwoStacks,
-            "daba" => AlgoKind::Daba,
-            "fiba" => AlgoKind::Fiba,
-            other => {
-                return Err(format!(
-                    "unknown algorithm {other:?} (want slickdeque/naive/flatfat/bint/flatfit/twostacks/daba/fiba)"
-                ))
-            }
-        })
+        parse_name(&Self::TABLE, "algorithm", s)
     }
 
     /// Stable tag byte for the snapshot header.
     pub fn tag(self) -> u8 {
-        match self {
-            AlgoKind::SlickDeque => 0,
-            AlgoKind::Naive => 1,
-            AlgoKind::FlatFat => 2,
-            AlgoKind::BInt => 3,
-            AlgoKind::FlatFit => 4,
-            AlgoKind::TwoStacks => 5,
-            AlgoKind::Daba => 6,
-            AlgoKind::Fiba => 7,
-        }
+        self as u8
     }
 
     /// Inverse of [`tag`](Self::tag).
     pub fn from_tag(t: u8) -> Result<Self, String> {
-        Ok(match t {
-            0 => AlgoKind::SlickDeque,
-            1 => AlgoKind::Naive,
-            2 => AlgoKind::FlatFat,
-            3 => AlgoKind::BInt,
-            4 => AlgoKind::FlatFit,
-            5 => AlgoKind::TwoStacks,
-            6 => AlgoKind::Daba,
-            7 => AlgoKind::Fiba,
-            other => return Err(format!("unknown algorithm tag {other}")),
-        })
+        from_tag(&Self::TABLE, "algorithm", t)
     }
 }
 

@@ -213,6 +213,41 @@ fn stream_text(server: &SwagServer, pipeline: &str, tuples: &[(u64, u64, f64)]) 
     ack
 }
 
+/// A text-mode line that never ends — the pipeline-name line or a tuple
+/// line — is cut off at a small cap: the server answers `ERR` and closes
+/// instead of buffering the stream without bound.
+#[test]
+fn unterminated_text_lines_are_cut_off() {
+    const TOTAL: usize = 16 << 20;
+    let dir = temp_dir("longline");
+    let server = start(&dir);
+    server.create_pipeline(count_spec("p")).unwrap();
+    let digits = vec![b'7'; 64 << 10];
+    for prefix in ["", "p\n"] {
+        let mut conn = TcpStream::connect(server.ingest_addr()).expect("connect ingest");
+        conn.set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.write_all(prefix.as_bytes()).unwrap();
+        let mut written = 0;
+        while written < TOTAL {
+            match conn.write(&digits) {
+                Ok(n) => written += n,
+                Err(_) => break,
+            }
+        }
+        assert!(
+            written < TOTAL,
+            "after {prefix:?}, the server took {written} bytes of one unterminated line"
+        );
+    }
+    let tuples = server
+        .status_json("p")
+        .and_then(|j| j.get("status")?.get("tuples")?.as_u64());
+    assert_eq!(tuples, Some(0), "no tuple reached the pipeline");
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupted_and_truncated_snapshots_are_rejected() {
     let dir = temp_dir("corrupt");

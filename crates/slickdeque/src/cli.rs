@@ -45,6 +45,7 @@ use swag_core::ops::MeanPartial;
 use swag_data::event::DisorderedKeyedSource;
 use swag_data::keyed::{KeyedDebsSource, KeyedSource, KeyedWorkloadSource};
 use swag_engine::{EngineConfig, EngineStats, KeyedEventWindows, KeyedPlans, ShardedEngine};
+use swag_server::AlgoKind;
 use swag_stream::TimeWindowSpec;
 
 /// Which aggregate operation to run.
@@ -148,16 +149,18 @@ pub enum EngineChoice {
 
 impl FromStr for EngineChoice {
     type Err = String;
+    /// The five algorithm names shared with the service resolve through
+    /// [`AlgoKind::parse`]; only `general` is the CLI's own.
     fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "slickdeque" => Ok(EngineChoice::SlickDeque),
-            "naive" => Ok(EngineChoice::Naive),
-            "flatfat" => Ok(EngineChoice::FlatFat),
-            "bint" => Ok(EngineChoice::BInt),
-            "flatfit" => Ok(EngineChoice::FlatFit),
-            "general" => Ok(EngineChoice::General),
-            other => Err(format!(
-                "unknown engine {other:?} (expected slickdeque|naive|flatfat|bint|flatfit|general)"
+        match (s, AlgoKind::parse(s)) {
+            ("general", _) => Ok(EngineChoice::General),
+            (_, Ok(AlgoKind::SlickDeque)) => Ok(EngineChoice::SlickDeque),
+            (_, Ok(AlgoKind::Naive)) => Ok(EngineChoice::Naive),
+            (_, Ok(AlgoKind::FlatFat)) => Ok(EngineChoice::FlatFat),
+            (_, Ok(AlgoKind::BInt)) => Ok(EngineChoice::BInt),
+            (_, Ok(AlgoKind::FlatFit)) => Ok(EngineChoice::FlatFit),
+            _ => Err(format!(
+                "unknown engine {s:?} (expected slickdeque|naive|flatfat|bint|flatfit|general)"
             )),
         }
     }
