@@ -5,7 +5,7 @@
 //! this module turns that into a static gate. Roots are the functions
 //! whose worst case IS the product: every `FinalAggregator` /
 //! `MultiFinalAggregator` / `AggregateOp` method, the free slice
-//! kernels, the shard processors, `SharedPlanExecutor::{push,
+//! kernels, the shard and event-time processors, `SharedPlanExecutor::{push,
 //! push_batch}`, the `FlightRecorder` seqlock writes, and the
 //! `SpanSampler` lifecycle-sampling path (on by default in the resident
 //! service's ingest loop). Cold
@@ -44,6 +44,7 @@ const HOT_TRAITS: &[&str] = &[
     "MultiFinalAggregator",
     "AggregateOp",
     "ShardProcessor",
+    "EventProcessor",
 ];
 
 /// Methods on the hot traits that are deliberately cold: `warm`

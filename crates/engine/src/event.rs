@@ -19,10 +19,17 @@
 //!   drop decision depends only on the (single, ordered) source stream,
 //!   never on shard count or batch boundaries.
 //! * Workers apply each batch through an [`EventProcessor`] and then
-//!   advance every key to the batch's watermark, emitting the time
-//!   windows it closed. Per-key answer sequences are therefore identical
-//!   for any shard count: a key's accepted tuples and its window
-//!   boundaries fully determine its `(query, window end, value)` stream.
+//!   advance every live key to the batch's watermark, emitting the time
+//!   windows it closed that hold data. Per-key answer sequences are
+//!   therefore identical for any shard count: a key's accepted tuples and
+//!   its window boundaries fully determine its `(query, window end,
+//!   value)` stream.
+//! * A key whose windows are all out and whose tree is empty is
+//!   **retired** after the advance: [`KeyedEventWindows`] drops it from
+//!   its map and keeps the reset executor on a bounded spare list for the
+//!   next new key. State and walk length therefore follow the keys active
+//!   within the last `range + lateness` of event time, not every key ever
+//!   seen.
 //!
 //! The engine-level watermark is the **minimum across shards** of the
 //! per-shard watermarks ([`EngineStats::watermark`]) — the frontier every
@@ -32,12 +39,13 @@
 //! [`EngineStats::watermark`]: crate::EngineStats::watermark
 //! [`EventKind::LateDrop`]: swag_trace::EventKind::LateDrop
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use swag_core::ops::AggregateOp;
 use swag_data::event::KeyedEventSource;
 use swag_data::keyed::Key;
-use swag_stream::{TimeWindowExec, TimeWindowSpec};
+use swag_stream::{TimeAnswer, TimeWindowExec, TimeWindowSpec};
 
 use crate::shard::{Batch, EngineRun, Pull, Routed, ShardedEngine};
 
@@ -65,7 +73,8 @@ pub trait EventProcessor: Send {
     /// End of stream: emit every remaining window holding data.
     fn finish(&mut self, out: &mut Vec<(Key, Self::Answer)>);
 
-    /// Number of distinct keys this processor has seen.
+    /// Number of keys holding state: keys with a live tuple or a window
+    /// still to emit. Retired keys do not count.
     fn keys(&self) -> usize;
 
     /// Largest event timestamp accepted so far (for watermark-lag
@@ -81,12 +90,19 @@ pub trait EventProcessor: Send {
     }
 }
 
+/// Retired executors kept for reuse, per processor. Enough to absorb the
+/// keys that go quiet and come back between two advances without holding
+/// memory for every key ever seen.
+const MAX_SPARES: usize = 256;
+
 /// One [`TimeWindowExec`] (a FiBA finger B-tree plus window bookkeeping)
-/// per key. Answers are `(query index, window end, lowered value)`.
+/// per live key. Answers are `(query index, window end, lowered value)`.
 ///
 /// Keys live in a `BTreeMap` so watermark advances visit them in key
 /// order — a shard's retained answer stream is deterministic, not
-/// hash-order dependent.
+/// hash-order dependent. A key is retired after the advance that leaves
+/// its executor idle (see [`TimeWindowExec::is_idle`]); its next tuple
+/// starts it afresh, from a recycled executor when one is spare.
 #[derive(Debug)]
 pub struct KeyedEventWindows<O>
 where
@@ -95,9 +111,15 @@ where
     op: O,
     specs: Vec<TimeWindowSpec>,
     states: BTreeMap<Key, TimeWindowExec<O>>,
+    /// Reset executors of retired keys, at most [`MAX_SPARES`].
+    spares: Vec<TimeWindowExec<O>>,
     max_ts: Option<u64>,
     /// Reusable lifted-batch buffer for [`EventProcessor::apply`].
     lift_scratch: Vec<(u64, O::Partial)>,
+    /// Reusable per-key answer buffer for advances and `finish`.
+    answer_scratch: Vec<TimeAnswer<O::Output>>,
+    /// Keys an advance left idle, retired once the walk is done.
+    idle_scratch: Vec<Key>,
 }
 
 impl<O> KeyedEventWindows<O>
@@ -106,14 +128,7 @@ where
 {
     /// The given time windows for every key, aggregated by `op`.
     pub fn new(op: O, specs: Vec<TimeWindowSpec>) -> Self {
-        assert!(!specs.is_empty(), "need at least one time window");
-        KeyedEventWindows {
-            op,
-            specs,
-            states: BTreeMap::new(),
-            max_ts: None,
-            lift_scratch: Vec::new(),
-        }
+        Self::from_states(op, specs, [])
     }
 
     /// The per-key executor, for inspection.
@@ -121,7 +136,9 @@ where
         self.states.get(&key)
     }
 
-    /// Every key's executor, for snapshotting (key order).
+    /// Every live key's executor, for snapshotting (key order). Retired
+    /// keys are absent: their next tuple starts them afresh, exactly as
+    /// it would on a restored processor.
     pub fn states(&self) -> impl Iterator<Item = (Key, &TimeWindowExec<O>)> {
         self.states.iter().map(|(&k, e)| (k, e))
     }
@@ -142,8 +159,25 @@ where
             op,
             specs,
             states,
+            spares: Vec::new(),
             max_ts,
             lift_scratch: Vec::new(),
+            answer_scratch: Vec::new(),
+            idle_scratch: Vec::new(),
+        }
+    }
+
+    /// Remove the keys the last walk found idle, keeping their reset
+    /// executors for reuse while the spare list has room.
+    fn retire_idle(&mut self) {
+        for key in self.idle_scratch.drain(..) {
+            let Some(mut exec) = self.states.remove(&key) else {
+                continue;
+            };
+            if self.spares.len() < MAX_SPARES {
+                exec.reset();
+                self.spares.push(exec); // alloc:amortized the spare list is capped at MAX_SPARES
+            }
         }
     }
 }
@@ -160,14 +194,22 @@ where
             op,
             specs,
             states,
+            spares,
             max_ts,
             lift_scratch,
+            ..
         } = self;
-        let exec = states
-            .entry(key)
-            .or_insert_with(|| TimeWindowExec::new(op.clone(), specs.clone()));
+        let exec = match states.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let exec = spares
+                    .pop()
+                    .unwrap_or_else(|| TimeWindowExec::new(op.clone(), specs.clone()));
+                e.insert(exec) // alloc:amortized one map node per active key; a retired key frees its node
+            }
+        };
         lift_scratch.clear();
-        lift_scratch.extend(tuples.iter().map(|&(ts, v)| (ts, op.lift(&v))));
+        lift_scratch.extend(tuples.iter().map(|&(ts, v)| (ts, op.lift(&v)))); // alloc:amortized the lift buffer keeps its capacity across runs
         exec.bulk_insert(lift_scratch);
         for &(ts, _) in tuples {
             *max_ts = Some(max_ts.map_or(ts, |m| m.max(ts)));
@@ -175,18 +217,32 @@ where
     }
 
     fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<(Key, Self::Answer)>) {
-        for (&key, exec) in self.states.iter_mut() {
-            for answer in exec.advance_watermark(watermark) {
-                out.push((key, answer));
+        let KeyedEventWindows {
+            states,
+            answer_scratch,
+            idle_scratch,
+            ..
+        } = self;
+        for (&key, exec) in states.iter_mut() {
+            exec.advance_watermark(watermark, answer_scratch);
+            out.extend(answer_scratch.drain(..).map(|a| (key, a))); // alloc:amortized the caller's answer buffer keeps its capacity across advances
+            if exec.is_idle() {
+                idle_scratch.push(key); // alloc:amortized the idle-key buffer keeps its capacity across advances
             }
         }
+        self.retire_idle();
     }
 
     fn finish(&mut self, out: &mut Vec<(Key, Self::Answer)>) {
-        for (&key, exec) in self.states.iter_mut() {
-            for answer in exec.finish() {
-                out.push((key, answer));
-            }
+        let KeyedEventWindows {
+            states,
+            answer_scratch,
+            ..
+        } = self;
+        for (&key, exec) in states.iter_mut() {
+            // Qualified, so swag-check resolves the call to this executor alone.
+            TimeWindowExec::finish(exec, answer_scratch);
+            out.extend(answer_scratch.drain(..).map(|a| (key, a))); // alloc:amortized the caller's answer buffer keeps its capacity across advances
         }
     }
 
@@ -379,6 +435,55 @@ mod tests {
                 assert_eq!(stats.late_tuples, 0, "source watermark is trusted");
                 assert_eq!(stats.tuples, 4000);
             }
+        }
+    }
+
+    /// Keys that burst and then stay silent far longer than the widest
+    /// range: key group `g` (three keys) owns positions
+    /// `[100·g, 100·g + 100)` of every 3000.
+    fn sparse_tuples(n: usize) -> Vec<(Key, f64)> {
+        (0..n)
+            .map(|i| {
+                let group = (i / 100 % 30) as u64;
+                (group * 3 + i as u64 % 3, ((i * 37) % 101) as f64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_keys_emit_only_windows_with_data_at_any_shard_count() {
+        let tuples = sparse_tuples(9000);
+        let make = || DisorderedKeyedSource::new(KeyedVecSource::new(tuples.clone()), 16, 5);
+        let (stats, answers) = run_with(1, &mut make(), None);
+        // The windows holding data, from the stamps (position = event
+        // time): run_with's queries are tumbling(32) and (64, 16).
+        let mut want = std::collections::BTreeSet::new();
+        for (ts, &(key, _)) in tuples.iter().enumerate() {
+            let ts = ts as u64;
+            for (q, (range, slide)) in [(32u64, 32u64), (64, 16)].into_iter().enumerate() {
+                // Windows [k·slide, k·slide + range) holding `ts`.
+                let first = (ts + 1).saturating_sub(range).div_ceil(slide);
+                for k in first..=ts / slide {
+                    want.insert((key, q, k * slide + range));
+                }
+            }
+        }
+        let got: std::collections::BTreeSet<_> = answers
+            .iter()
+            .map(|&(k, (q, end, _))| (k, q, end))
+            .collect();
+        assert_eq!(got.len(), answers.len(), "each window is emitted once");
+        assert_eq!(got, want, "emitted windows are exactly those holding data");
+        assert!(
+            stats.keys() <= 6,
+            "{} keys still live: the last 80 positions touch at most two groups",
+            stats.keys()
+        );
+
+        let reference = per_key(&answers);
+        for shards in [2, 8] {
+            let (_, answers) = run_with(shards, &mut make(), None);
+            assert_eq!(per_key(&answers), reference, "{shards} shards");
         }
     }
 

@@ -14,7 +14,8 @@ pub struct ShardStats {
     pub answers: u64,
     /// Channel batches this shard received (one per `recv`).
     pub batches: u64,
-    /// Distinct keys routed to this shard.
+    /// Keys holding state in this shard at drain: every key routed to it
+    /// on a count run; on an event run, retired keys are not counted.
     pub keys: usize,
     /// Deepest inbound-queue occupancy observed, in tuples — the
     /// backpressure signal (a shard pinned near the channel capacity is
@@ -95,7 +96,7 @@ impl EngineStats {
         }
     }
 
-    /// Distinct keys across all shards (keys never span shards).
+    /// Keys holding state across all shards (keys never span shards).
     pub fn keys(&self) -> usize {
         self.shards.iter().map(|s| s.keys).sum()
     }

@@ -140,6 +140,35 @@ impl<O: AggregateOp> FingerBTree<O> {
         self.node(self.tail).entries.last().map(|e| e.0)
     }
 
+    /// Smallest live timestamp `≥ lo`, or `None` when every live entry
+    /// is older. O(1) when `lo` is at or below the oldest entry (the
+    /// common case right after a prefix eviction), O(fanout · height)
+    /// otherwise. Reads only leaf payloads and `max_ts` bounds off the
+    /// right spine, so no deferred repair has to run first.
+    pub fn first_at_or_after(&self, lo: Timestamp) -> Option<Timestamp> {
+        let oldest = self.min_ts()?;
+        if lo <= oldest {
+            return Some(oldest);
+        }
+        let mut n = self.root;
+        loop {
+            let node = self.node(n);
+            let Some(&last) = node.children.last() else {
+                let i = node.entries.partition_point(|&(t, _)| t < lo);
+                return node.entries.get(i).map(|e| e.0);
+            };
+            // Off the right spine `max_ts` is exact, so the first child
+            // reaching `lo` holds the answer; the rightmost child is the
+            // fallback, as in `descend`.
+            n = node
+                .children
+                .iter()
+                .copied()
+                .find(|&c| self.node(c).max_ts >= lo)
+                .unwrap_or(last);
+        }
+    }
+
     fn node(&self, n: u32) -> &Node<O::Partial> {
         &self.nodes[n as usize] // check:allow node ids index the live arena by construction
     }
@@ -564,9 +593,13 @@ impl<O: AggregateOp> FingerBTree<O> {
         }
     }
 
-    /// Drop the whole arena back to a single empty leaf.
+    /// Drop the whole arena back to a single empty leaf. The arena and
+    /// the head leaf's entry buffer keep their capacity, so a tree that
+    /// empties and refills reuses its allocations.
     fn reset_empty(&mut self) {
-        let leaf = Node::empty_leaf(self.op.identity());
+        let mut leaf = Node::empty_leaf(self.op.identity());
+        leaf.entries = std::mem::take(&mut self.node_mut(self.head).entries);
+        leaf.entries.clear();
         self.nodes.clear();
         self.free.clear();
         self.nodes.push(leaf); // alloc:amortized node arena grows to the tree high-water mark; freed nodes recycle through the free list
@@ -1029,6 +1062,26 @@ mod tests {
             }
         }
         acc
+    }
+
+    #[test]
+    fn first_at_or_after_matches_oracle() {
+        let mut tree = FingerBTree::new(Sum::<i64>::new());
+        let mut oracle = std::collections::BTreeSet::new();
+        assert_eq!(tree.first_at_or_after(0), None);
+        // Even timestamps, shuffled in so interior bounds are exercised,
+        // then a prefix evicted so the head leaf is partial.
+        for i in 0..1500u64 {
+            let ts = ((i * 769) % 1500) * 2;
+            tree.insert(ts, 1);
+            oracle.insert(ts);
+        }
+        tree.evict_older_than(301);
+        oracle.retain(|&ts| ts >= 301);
+        for lo in 0..3010u64 {
+            let want = oracle.range(lo..).next().copied();
+            assert_eq!(tree.first_at_or_after(lo), want, "lo {lo}");
+        }
     }
 
     #[test]

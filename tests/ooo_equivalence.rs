@@ -107,9 +107,9 @@ fn time_windows_are_order_insensitive_within_lateness() {
                 exec.insert(ts, &v),
                 "a watermark trailing by the disorder bound never refuses"
             );
-            answers.extend(exec.advance_watermark(frontier.saturating_sub(DISORDER)));
+            exec.advance_watermark(frontier.saturating_sub(DISORDER), &mut answers);
         }
-        answers.extend(exec.finish());
+        exec.finish(&mut answers);
         answers
     };
 
